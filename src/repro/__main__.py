@@ -850,10 +850,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         return 1
     rng = np.random.default_rng(args.seed)
+    before = telemetry.snapshot()
     with telemetry.tracing() as tracer:
         wall_start = time.perf_counter()
         release = estimator.release(graph, rng)
         wall_seconds = time.perf_counter() - wall_start
+    after = telemetry.snapshot()
+    # Separation-oracle calls by max-flow engine: any "float" count means
+    # an LP solution fell back from the batched integer max flow.
+    separation = {
+        engine: telemetry.counter_value(
+            after, "repro_lp_separation_total", engine=engine
+        )
+        - telemetry.counter_value(
+            before, "repro_lp_separation_total", engine=engine
+        )
+        for engine in ("batched", "float")
+    }
     stages = telemetry.aggregate_stage_times(tracer.spans)
     stage_total = sum(s["self_seconds"] for s in stages.values())
     ordered = sorted(
@@ -869,6 +882,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                     "value": release.value,
                     "wall_seconds": wall_seconds,
                     "stage_total_seconds": stage_total,
+                    "separation": separation,
                     "stages": {
                         name: dict(stage) for name, stage in ordered
                     },
@@ -892,6 +906,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(
         f"  {'total traced':<28} {'':>6} "
         f"{stage_total * 1e3:>10.3f} {traced_pct:>6.1f}%"
+    )
+    print(
+        f"  separation oracle: {separation['batched']:.0f} batched, "
+        f"{separation['float']:.0f} float"
     )
     return 0
 

@@ -21,14 +21,18 @@ Evaluators (mirroring the ``auto`` strategy of ``forest_lp``):
 * the **exhaustive exact** formulation (every forest constraint
   materialized, bitmask-vectorized assembly) for small components;
 * a **cutting-plane outer bound** with the Padberg–Wolsey min-cut
-  separation oracle on packed-int networks;
+  separation oracle: every pinned edge–vertex network of one call is
+  solved as a single scipy integer max flow on their disjoint union
+  (capacities scaled by a power of two), falling back to the float
+  :class:`~repro.flow.maxflow.FlowNetwork` when ``x`` does not scale to
+  int32 exactly;
 * stabilized **column generation** (Dantzig–Wolfe over explicit
   forests, Kruskal pricing with an array union-find) providing the
   feasible lower bound and a Lagrangian upper bound.
 
 The combined ``auto`` logic — fast tree DP, exhaustive below
 :data:`EXACT_THRESHOLD`, certified sandwich above it with optional
-half-integral snapping — lives in :func:`solve_component`.
+half-integral snapping for integral Δ — lives in :func:`solve_component`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .. import kernels, telemetry
 
@@ -150,9 +155,10 @@ def solve_component(
     Strategy: tree DP when the component is a tree and Δ is integral;
     exhaustive exact up to ``exact_threshold`` vertices; otherwise a
     certified sandwich (cutting-plane outer bound, column-generation
-    inner bound, optional half-integral snap).  ``use_fast_paths=False``
-    disables the tree DP shortcut so differential tests can compare it
-    against a genuinely independent LP evaluation.
+    inner bound, optional half-integral snap for integral Δ).
+    ``use_fast_paths=False`` disables the tree DP shortcut so
+    differential tests can compare it against a genuinely independent LP
+    evaluation.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -252,7 +258,9 @@ def _solve_component_uncached(
     gap = max(upper - lower, 0.0)
     if gap <= 1e-6:
         return CoreLPResult(lower, cg.x, rounds, added, 0.0, "exact")
-    if assume_half_integral:
+    # Optima are half-integral only for integral Δ (Δ = 1.5 already has
+    # quarter-integral ones), so only those are snapped.
+    if assume_half_integral and float(delta).is_integer():
         snapped = _unique_half_integer(lower, upper)
         if snapped is not None:
             return CoreLPResult(
@@ -499,8 +507,30 @@ def exhaustive_component_value(
 
 
 # ----------------------------------------------------------------------
-# Padberg–Wolsey separation oracle (packed-int networks)
+# Padberg–Wolsey separation oracle
 # ----------------------------------------------------------------------
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_BATCH_MAX_ARCS = 1 << 20
+"""A union network with more arcs than this takes the float path instead:
+a bound on the batched oracle's memory (about 100 MiB at the limit), not
+on its correctness."""
+
+_SEPARATIONS = telemetry.counter(
+    "repro_lp_separation_total",
+    "Separation-oracle calls, by the max-flow engine that answered them",
+    labels=("engine",),
+)
+
+
+class _SupportComponent(NamedTuple):
+    """One connected component of the support ``x > tolerance``."""
+
+    u: np.ndarray
+    v: np.ndarray
+    x: np.ndarray
+    verts: np.ndarray
+
+
 def violated_forest_sets(
     n: int,
     u: np.ndarray,
@@ -511,59 +541,194 @@ def violated_forest_sets(
 ) -> list[frozenset[int]]:
     """Return up to ``max_sets`` vertex sets with ``x(E[S]) > |S| − 1``.
 
-    Per support component (edges with ``x > tolerance``), one pinned
-    min-cut per vertex in the edge–vertex network; node labels are packed
-    ints (``-1`` source, ``-2`` sink, ``w`` vertex, ``n + j`` edge).
+    For every component of the support (edges with ``x > tolerance``, by
+    ascending root) and every vertex ``w`` of it in ascending order, one
+    edge–vertex network is pinned at ``w``: source → edge node at
+    capacity ``x_e``, edge node → both endpoints uncapped, every vertex
+    but ``w`` → sink at capacity 1.  When its max flow leaves excess
+    ``x(E_c) − flow > tolerance``, the vertices on the source side of the
+    minimal min cut, plus ``w``, form a violated set.  Sets are returned
+    in that walk order without repeats.
+
+    All those networks are solved together, as one integer max flow on
+    their disjoint union (shared source and sink), with capacities scaled
+    by a power of two ``2^k``.  The union's minimal min cut restricted to
+    one copy is that copy's own minimal min cut, so one residual
+    reachability pass from the source yields every copy's source side.
+    ``k`` is the largest exponent at which every capacity, the uncapped
+    arcs and the union's total flow fit in int32.  When ``x · 2^k`` is
+    integral on the support, the integer network is exactly the float
+    one and the sets are those of the float oracle; any other ``x`` (and
+    any union above ``_BATCH_MAX_ARCS`` arcs) takes the float path, one
+    :class:`~repro.flow.maxflow.FlowNetwork` per copy.  Each call bumps
+    ``repro_lp_separation_total`` with the engine that answered it.
     """
     u, v = _as_edge_arrays(u, v)
-    support = np.asarray(x) > tolerance
+    components = _support_components(n, u, v, np.asarray(x, dtype=float), tolerance)
+    scale = _dyadic_scale(components)
+    if scale is None:
+        _SEPARATIONS.inc(engine="float")
+        candidates = _float_cuts(n, components, tolerance)
+    else:
+        _SEPARATIONS.inc(engine="batched")
+        candidates = _batched_cuts(components, scale, tolerance)
+    violated: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    for chosen in candidates:
+        if len(chosen) >= 2 and chosen not in seen:
+            seen.add(chosen)
+            violated.append(chosen)
+            if len(violated) >= max_sets:
+                break
+    return violated
+
+
+def _support_components(
+    n: int, u: np.ndarray, v: np.ndarray, x: np.ndarray, tolerance: float
+) -> list[_SupportComponent]:
+    """Split the support of ``x`` into components, ordered by root."""
+    support = x > tolerance
     if not support.any():
         return []
-    su, sv, sid = u[support], v[support], np.nonzero(support)[0]
-    sx = np.asarray(x)[support]
+    su, sv, sx = u[support], v[support], x[support]
     labels = CompactGraph.from_edge_arrays(n, su, sv).component_labels()
     edge_root = labels[su]
     order = np.argsort(edge_root, kind="stable")
-    su, sv, sx, sid = su[order], sv[order], sx[order], sid[order]
+    su, sv, sx = su[order], sv[order], sx[order]
     boundaries = np.nonzero(np.diff(edge_root[order]))[0] + 1
     starts = np.concatenate([[0], boundaries, [su.size]])
-
-    violated: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for g in range(starts.size - 1):
-        lo, hi = int(starts[g]), int(starts[g + 1])
-        if hi <= lo:
-            continue
-        cu, cv, cx = su[lo:hi], sv[lo:hi], sx[lo:hi]
+    components = []
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        cu, cv = su[lo:hi], sv[lo:hi]
         verts = np.unique(np.concatenate([cu, cv]))
-        if verts.size < 2:
-            continue
-        total_weight = float(cx.sum())
-        for pin in verts.tolist():
+        components.append(_SupportComponent(cu, cv, sx[lo:hi], verts))
+    return components
+
+
+def _dyadic_scale(components: list[_SupportComponent]) -> Optional[float]:
+    """The scale ``2^k`` for the batched union network, or ``None`` when
+    the float path must answer.
+
+    In units of ``2^k``, each copy's flow is at most
+    ``min(x(E_c), |V_c| − 1)`` and the largest capacity is that of the
+    uncapped arcs, ``max x + 1``.  ``k`` is the largest exponent that
+    keeps ``2^k`` times the union's total flow bound, and times that
+    capacity, within int32 (``maximum_flow`` silently truncates wider
+    capacities).
+    """
+    if not components:
+        return 1.0
+    arcs = sum(c.verts.size * (3 * c.x.size + c.verts.size - 1) for c in components)
+    if arcs > _BATCH_MAX_ARCS:
+        return None
+    flow_bound = sum(
+        c.verts.size * min(float(c.x.sum()), c.verts.size - 1.0) for c in components
+    )
+    arc_bound = max(float(c.x.max()) for c in components) + 1.0
+    bound = max(flow_bound, arc_bound)
+    if bound > _INT32_MAX:
+        return None
+    scale = 2.0 ** int(np.floor(np.log2(_INT32_MAX / bound)))
+    while scale * bound > _INT32_MAX:
+        scale /= 2.0
+    for c in components:
+        scaled = c.x * scale
+        if not np.array_equal(scaled, np.floor(scaled)):
+            return None
+    return scale
+
+
+def _float_cuts(n: int, components: list[_SupportComponent], tolerance: float):
+    """Yield each violated copy's cut, one float :class:`FlowNetwork` per
+    copy (packed-int labels: ``-1`` source, ``-2`` sink, ``w`` vertex,
+    ``n + k`` the component's ``k``-th edge)."""
+    for c in components:
+        total_weight = float(c.x.sum())
+        for pin in c.verts.tolist():
             network = FlowNetwork()
-            for k in range(cu.size):
-                edge_node = n + int(sid[lo + k])
-                network.add_edge(-1, edge_node, float(cx[k]))
-                network.add_edge(edge_node, int(cu[k]), INFINITY)
-                network.add_edge(edge_node, int(cv[k]), INFINITY)
-            for w in verts.tolist():
+            for k in range(c.u.size):
+                edge_node = n + k
+                network.add_edge(-1, edge_node, float(c.x[k]))
+                network.add_edge(edge_node, int(c.u[k]), INFINITY)
+                network.add_edge(edge_node, int(c.v[k]), INFINITY)
+            for w in c.verts.tolist():
                 network.add_edge(int(w), -2, 0.0 if w == pin else 1.0)
             flow = network.max_flow(-1, -2)
-            excess = total_weight - flow
-            if excess <= tolerance:
+            if total_weight - flow <= tolerance:
                 continue
             source_side = network.min_cut_source_side(-1)
-            chosen = frozenset(
-                int(label)
+            yield frozenset(
+                label
                 for label in source_side
                 if isinstance(label, int) and 0 <= label < n
-            ) | frozenset([int(pin)])
-            if len(chosen) >= 2 and chosen not in seen:
-                seen.add(chosen)
-                violated.append(chosen)
-                if len(violated) >= max_sets:
-                    return violated
-    return violated
+            ) | frozenset([pin])
+
+
+def _batched_cuts(
+    components: list[_SupportComponent], scale: float, tolerance: float
+):
+    """Yield each violated copy's cut from one integer max flow on the
+    union of every pinned copy (node 0 source, node 1 sink; a copy is its
+    edge nodes followed by its vertex nodes)."""
+    if not components:
+        return
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    caps: list[np.ndarray] = []
+    unit = int(scale)
+    uncapped = int(max(float(c.x.max()) for c in components) * scale) + 1
+    layout = []
+    next_node = 2
+    for c in components:
+        m_c, n_c = c.x.size, c.verts.size
+        offsets = next_node + (m_c + n_c) * np.arange(n_c, dtype=np.int64)
+        next_node += (m_c + n_c) * n_c
+        edge_nodes = offsets[:, None] + np.arange(m_c)
+        vertex_nodes = offsets[:, None] + m_c + np.arange(n_c)
+        lu = m_c + np.searchsorted(c.verts, c.u)
+        lv = m_c + np.searchsorted(c.verts, c.v)
+        off_pin = ~np.eye(n_c, dtype=bool)
+        rows += [
+            np.zeros(edge_nodes.size, dtype=np.int64),
+            edge_nodes.ravel(),
+            edge_nodes.ravel(),
+            vertex_nodes[off_pin],
+        ]
+        cols += [
+            edge_nodes.ravel(),
+            (offsets[:, None] + lu).ravel(),
+            (offsets[:, None] + lv).ravel(),
+            np.ones(n_c * (n_c - 1), dtype=np.int64),
+        ]
+        caps += [
+            np.tile((c.x * scale).astype(np.int64), n_c),
+            np.full(2 * edge_nodes.size, uncapped, dtype=np.int64),
+            np.full(n_c * (n_c - 1), unit, dtype=np.int64),
+        ]
+        layout.append((c, edge_nodes, vertex_nodes))
+    data = np.concatenate(caps)
+    assert 0 <= data.min() and data.max() <= _INT32_MAX
+    capacity = sparse.csr_array(
+        (data.astype(np.int32), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(next_node, next_node),
+    )
+    result = maximum_flow(capacity, 0, 1)
+    assert result.flow_value <= _INT32_MAX
+    residual = capacity - result.flow
+    residual.eliminate_zeros()
+    reached = np.zeros(next_node, dtype=bool)
+    reached[breadth_first_order(residual, 0, return_predecessors=False)] = True
+    source_flow = np.zeros(next_node, dtype=np.int64)
+    lo, hi = result.flow.indptr[0], result.flow.indptr[1]
+    source_flow[result.flow.indices[lo:hi]] = result.flow.data[lo:hi]
+    for c, edge_nodes, vertex_nodes in layout:
+        total_weight = float(c.x.sum())
+        flows = source_flow[edge_nodes].sum(axis=1)
+        sides = reached[vertex_nodes]
+        for i, pin in enumerate(c.verts.tolist()):
+            if total_weight - flows[i] / scale <= tolerance:
+                continue
+            yield frozenset(c.verts[sides[i]].tolist()) | frozenset([pin])
 
 
 # ----------------------------------------------------------------------
@@ -753,7 +918,9 @@ def column_generation_component(
     master objective (a certified lower bound), ``gap`` the certified
     window against the best Lagrangian/external upper bound, and
     ``constraints_added`` the column count.  The upper bound is encoded
-    as ``value + gap``.
+    as ``value + gap``.  ``snap_half_integral`` stops early once the
+    window holds a single half-integer; it is honoured only for integral
+    Δ, the only case where optima are half-integral.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -763,6 +930,7 @@ def column_generation_component(
         return CoreLPResult(0.0, np.zeros(0), 0, 0, 0.0, "exact")
     target = float(n - 1)
     rng = np.random.default_rng(seed)
+    snap = snap_half_integral and float(delta).is_integer()
 
     columns: list[list[int]] = []
     seen: set[frozenset[int]] = set()
@@ -818,7 +986,7 @@ def column_generation_component(
             return CoreLPResult(
                 lower, best_solution[1], iteration, len(columns), 0.0, "exact"
             )
-        if snap_half_integral and _unique_half_integer(lower, best_upper) is not None:
+        if snap and _unique_half_integer(lower, best_upper) is not None:
             return CoreLPResult(
                 lower, best_solution[1], iteration, len(columns), gap, "approx"
             )

@@ -200,7 +200,7 @@ def forest_polytope_value(
         ``auto``/``column_generation``: pricing-round cap.
     assume_half_integral:
         ``auto`` mode: permit snapping a sub-half-unit certified window
-        to its unique half-integer.  Disable for fully agnostic output
+        to its unique half-integer (integral Δ only).  Disable for fully agnostic output
         (the certified ``gap`` is then reported instead).
 
     Returns

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
+from repro.flow.maxflow import INFINITY, FlowNetwork
+from repro.graphs.compact import CompactGraph
 from repro.graphs.generators import (
     caterpillar_graph,
     complete_graph,
@@ -18,6 +21,85 @@ from repro.lp.forest_lp import canonical_component_arrays, forest_polytope_value
 def _arrays(graph):
     _, u, v = canonical_component_arrays(graph)
     return graph.number_of_vertices(), u, v
+
+
+def _reference_violated_sets(n, u, v, x, tolerance=1e-7, max_sets=256):
+    """The separation oracle as one float :class:`FlowNetwork` per pinned
+    vertex: the specification the batched oracle must reproduce."""
+    x = np.asarray(x, dtype=float)
+    support = x > tolerance
+    if not support.any():
+        return []
+    su, sv, sx, sid = u[support], v[support], x[support], np.nonzero(support)[0]
+    labels = CompactGraph.from_edge_arrays(n, su, sv).component_labels()
+    violated, seen = [], set()
+    for root in np.unique(labels[su]).tolist():
+        inside = labels[su] == root
+        cu, cv, cx, cid = su[inside], sv[inside], sx[inside], sid[inside]
+        verts = np.unique(np.concatenate([cu, cv])).tolist()
+        for pin in verts:
+            network = FlowNetwork()
+            for a, b, weight, j in zip(cu.tolist(), cv.tolist(), cx, cid.tolist()):
+                network.add_edge(-1, n + j, float(weight))
+                network.add_edge(n + j, a, INFINITY)
+                network.add_edge(n + j, b, INFINITY)
+            for w in verts:
+                network.add_edge(w, -2, 0.0 if w == pin else 1.0)
+            if float(cx.sum()) - network.max_flow(-1, -2) <= tolerance:
+                continue
+            side = network.min_cut_source_side(-1)
+            chosen = frozenset(
+                w for w in side if isinstance(w, int) and 0 <= w < n
+            ) | {pin}
+            if len(chosen) >= 2 and chosen not in seen:
+                seen.add(chosen)
+                violated.append(chosen)
+                if len(violated) >= max_sets:
+                    return violated
+    return violated
+
+
+def _connected_graph(n, p, rng):
+    """G(n, p) plus the path 0-1-...-(n-1), as canonical edge arrays."""
+    iu, iv = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < p
+    keep[iv == iu + 1] = True
+    return iu[keep].astype(np.int64), iv[keep].astype(np.int64)
+
+
+def _separation_case(seed, p):
+    """A random connected graph (n ≤ 20), an ``x`` on its edges and a
+    ``max_sets`` that often truncates.
+
+    ``x`` is dyadic (batched path), uniform floats or a column-generation
+    mixture (float path); zeroing the edges that leave a random vertex
+    subset splits the support into several components.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 21))
+    u, v = _connected_graph(n, p, rng)
+    kind = rng.integers(3)
+    if kind == 0:
+        bits = int(rng.integers(0, 21))
+        x = rng.integers(0, 2**bits + 1, size=u.size) / 2.0**bits
+    elif kind == 1:
+        x = rng.random(u.size)
+    else:
+        x = forest_core.column_generation_component(
+            n, u, v, int(rng.integers(1, 4)), max_iterations=int(rng.integers(1, 5))
+        ).x
+        # Inflate so the mixture (a feasible point) violates some sets.
+        x = np.minimum(x * rng.choice([1.0, 1.5, 3.0]), 1.0)
+    if rng.random() < 0.5:
+        side = rng.random(n) < 0.5
+        x = np.where(side[u] == side[v], x, 0.0)
+    return n, u, v, x, int(rng.choice([1, 2, 3, 256]))
+
+
+def _separations(engine):
+    return telemetry.counter_value(
+        telemetry.snapshot(), "repro_lp_separation_total", engine=engine
+    )
 
 
 class TestTreeDP:
@@ -82,6 +164,41 @@ class TestSolveComponent:
         assert core.value == pytest.approx(15.0, abs=1e-5)
         assert core.gap == pytest.approx(0.0, abs=1e-5)
 
+    def test_fractional_delta_never_snaps(self):
+        """Δ = 1.5 has quarter-integral optima: this graph's f_1.5 is 51/4
+        (exhaustive LP), which a half-integral snap would report as 12.5."""
+        iu, iv = np.triu_indices(17, 1)
+        keep = [
+            5, 7, 9, 12, 13, 15, 17, 18, 19, 21, 25, 27, 29, 32, 34, 35, 39,
+            40, 41, 44, 45, 46, 48, 50, 52, 53, 54, 58, 59, 61, 62, 63, 64,
+            65, 67, 68, 72, 73, 75, 77, 78, 79, 80, 82, 83, 85, 86, 89, 90,
+            91, 93, 95, 97, 98, 100, 104, 106, 107, 114, 115, 116, 117, 118,
+            120, 121, 123, 124, 125, 126, 133,
+        ]
+        core = forest_core.solve_component(
+            17, iu[keep], iv[keep], 1.5, max_rounds=1, cg_max_iterations=3
+        )
+        assert core.status != "snapped"
+        assert core.value <= 12.75 + 1e-9 <= core.value + core.gap + 2e-9
+
+    @given(
+        n=st.integers(14, 20),
+        p=st.floats(0.2, 0.9),
+        seed=st.integers(0, 10**6),
+        delta=st.sampled_from([1.5, 2.5]),
+        rounds=st.integers(1, 3),
+        cg_iterations=st.integers(1, 5),
+    )
+    @settings(max_examples=25)
+    def test_fractional_delta_statuses(
+        self, n, p, seed, delta, rounds, cg_iterations
+    ):
+        u, v = _connected_graph(n, p, np.random.default_rng(seed))
+        core = forest_core.solve_component(
+            n, u, v, delta, max_rounds=rounds, cg_max_iterations=cg_iterations
+        )
+        assert core.status in ("exact", "approx")
+
     def test_invalid_delta(self):
         with pytest.raises(ValueError, match="positive"):
             forest_core.solve_component(
@@ -90,6 +207,72 @@ class TestSolveComponent:
 
 
 class TestSeparationOracle:
+    @given(seed=st.integers(0, 10**6), p=st.floats(0.15, 0.9))
+    @settings(max_examples=80)
+    def test_matches_float_reference(self, seed, p):
+        n, u, v, x, max_sets = _separation_case(seed, p)
+        got = forest_core.violated_forest_sets(n, u, v, x, max_sets=max_sets)
+        assert got == _reference_violated_sets(n, u, v, x, max_sets=max_sets)
+
+    @pytest.mark.parametrize(
+        "x_of, engine",
+        [
+            (lambda m, rng: np.full(m, 1 / 16), "batched"),
+            (lambda m, rng: rng.integers(1, 2**20, size=m) / 2.0**20, "float"),
+        ],
+    )
+    def test_large_dense_component_within_int32(self, x_of, engine):
+        """K_64 forces a small scale, 2^19: at x = 1/16 the union's total
+        flow, 64 · 63 · 2^19, is 98% of int32's limit, and weights on a
+        2^-20 grid no longer scale to integers."""
+        count, u, v = _arrays(complete_graph(64))
+        x = x_of(u.size, np.random.default_rng(5))
+        before = _separations(engine)
+        got = forest_core.violated_forest_sets(count, u, v, x, max_sets=1)
+        assert _separations(engine) == before + 1
+        assert got == _reference_violated_sets(count, u, v, x, max_sets=1)
+        assert len(got) == 1
+
+    def test_scale_keeps_union_within_int32(self):
+        count, u, v = _arrays(complete_graph(64))
+        components = forest_core._support_components(
+            count, u, v, np.full(u.size, 1 / 16), 1e-7
+        )
+        scale = forest_core._dyadic_scale(components)
+        assert scale == 2.0**19
+        # 64 pinned copies, each sending at most |V| − 1 = 63 units.
+        assert 64 * 63 * scale <= np.iinfo(np.int32).max
+
+    @pytest.mark.parametrize("eps, expected", [(2.0**-26, []), (2.0**-20, [{0, 1, 2}])])
+    def test_excess_compared_with_tolerance(self, eps, expected):
+        """Triangle with x(E) = 2 + eps: a cut only when eps > tolerance."""
+        u = np.array([0, 0, 1], dtype=np.int64)
+        v = np.array([1, 2, 2], dtype=np.int64)
+        x = np.array([1.0, 0.75, 0.25 + eps])
+        got = forest_core.violated_forest_sets(3, u, v, x)
+        assert got == expected == _reference_violated_sets(3, u, v, x)
+
+    def test_engine_counter(self):
+        count, u, v = _arrays(complete_graph(6))
+        batched, fallback = _separations("batched"), _separations("float")
+        forest_core.violated_forest_sets(count, u, v, np.full(u.size, 0.375))
+        assert (_separations("batched"), _separations("float")) == (
+            batched + 1, fallback
+        )
+        forest_core.violated_forest_sets(count, u, v, np.full(u.size, 0.3))
+        assert (_separations("batched"), _separations("float")) == (
+            batched + 1, fallback + 1
+        )
+
+    def test_oversized_union_takes_float_path(self, monkeypatch):
+        count, u, v = _arrays(complete_graph(6))
+        x = np.full(u.size, 0.375)
+        monkeypatch.setattr(forest_core, "_BATCH_MAX_ARCS", 100)
+        before = _separations("float")
+        got = forest_core.violated_forest_sets(count, u, v, x)
+        assert _separations("float") == before + 1
+        assert got == _reference_violated_sets(count, u, v, x) != []
+
     def test_feasible_point_passes(self):
         g = path_graph(5)
         count, u, v = _arrays(g)

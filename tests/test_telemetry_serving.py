@@ -147,7 +147,7 @@ class TestProfileCli:
         # warm (e.g. earlier tests solved these components); the
         # memo-independent stages must always show.
         for stage in ("gem.select", "laplace.noise", "release",
-                      "total traced"):
+                      "total traced", "separation oracle:"):
             assert stage in out
 
     def test_json_breakdown_within_ten_percent_of_wall(
@@ -159,6 +159,7 @@ class TestProfileCli:
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["estimator"] == "cc"
+        assert set(report["separation"]) == {"batched", "float"}
         stages = report["stages"]
         assert {"release", "gem.select", "laplace.noise"} <= set(stages)
         stage_total = report["stage_total_seconds"]
