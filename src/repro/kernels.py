@@ -5,9 +5,10 @@ component union-find, the forest/acyclicity check, and the Kruskal-style
 greedy forest selections used by column-generation pricing — live here
 behind a tiny dispatch layer:
 
-* ``numpy`` (the default): the existing pure-numpy / pure-Python
-  implementations, moved verbatim from their original modules.  This
-  backend has no dependencies beyond numpy and is always available.
+* ``numpy`` (the default): a vectorized numpy labeling plus
+  sequential union-find loops over Python lists (path halving, union by
+  min root).  This backend has no dependencies beyond numpy and is
+  always available.
 * ``numba``: ``@njit``-compiled sequential loops for the same kernels.
   Requires the optional ``numba`` extra (``pip install .[fast]``).
 
@@ -151,31 +152,23 @@ def is_forest(n: int, u: np.ndarray, v: np.ndarray) -> bool:
                 np.ascontiguousarray(v, dtype=np.int64),
             )
         )
-    uf = _IntUnionFind(n)
-    return all(uf.union(int(a), int(b)) for a, b in zip(u.tolist(), v.tolist()))
-
-
-class _IntUnionFind:
-    """Array union-find over ``0..n-1`` (path halving, union by root id)."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
+    # Path-halving find on both endpoints, then union by min root (the
+    # numba kernels' policy), inlined over Python lists.
+    parent = list(range(n))
+    for a, b in zip(u.tolist(), v.tolist()):
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
             return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -199,16 +192,31 @@ def max_weight_forest(
             np.ascontiguousarray(order, dtype=np.int64),
         )
         return chosen.tolist(), float(total)
-    uf = _IntUnionFind(n)
+    # Python lists, not numpy scalars, in the loop: indexing them is
+    # several times cheaper.
+    parent = list(range(n))
+    ul, vl = u.tolist(), v.tolist()
+    wl = np.asarray(weights, dtype=np.float64).tolist()
     chosen_list: list[int] = []
     total = 0.0
     for j in order.tolist():
-        w = weights[j]
+        w = wl[j]
         if w <= 0:
             break
-        if uf.union(int(u[j]), int(v[j])):
-            chosen_list.append(int(j))
-            total += float(w)
+        a, b = ul[j], vl[j]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+            chosen_list.append(j)
+            total += w
     return chosen_list, total
 
 
@@ -229,16 +237,31 @@ def greedy_capped_forest(
             np.ascontiguousarray(caps, dtype=np.int64),
         )
         return chosen.tolist(), degree
-    uf = _IntUnionFind(n)
-    degree = np.zeros(n, dtype=np.int64)
+    parent = list(range(n))
+    ul, vl, capl = u.tolist(), v.tolist(), caps.tolist()
+    degree = [0] * n
     chosen_list: list[int] = []
     for j in order:
-        a, b = int(u[j]), int(v[j])
-        if degree[a] < caps[a] and degree[b] < caps[b] and uf.union(a, b):
-            chosen_list.append(j)
-            degree[a] += 1
-            degree[b] += 1
-    return chosen_list, degree
+        a, b = ul[j], vl[j]
+        if degree[a] >= capl[a] or degree[b] >= capl[b]:
+            continue
+        ra, rb = a, b
+        while parent[ra] != ra:
+            parent[ra] = parent[parent[ra]]
+            ra = parent[ra]
+        while parent[rb] != rb:
+            parent[rb] = parent[parent[rb]]
+            rb = parent[rb]
+        if ra == rb:
+            continue
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
+        chosen_list.append(j)
+        degree[a] += 1
+        degree[b] += 1
+    return chosen_list, np.array(degree, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,16 @@ Evaluators (mirroring the ``auto`` strategy of ``forest_lp``):
 
 The combined ``auto`` logic — fast tree DP, exhaustive below
 :data:`EXACT_THRESHOLD`, certified sandwich above it with optional
-half-integral snapping for integral Δ — lives in :func:`solve_component`.
+half-integral snapping for integral Δ — lives in :func:`solve_component`,
+which counts every uncached solve in ``repro_lp_solves_total{path,status}``.
+
+Every LP goes to HiGHS through scipy's bundled binding
+(``scipy.optimize._highspy``) in :func:`_solve_lp`: constraint rows are
+built once as COO arrays, sorted into CSC with one stable argsort and
+solved with a prebuilt options object equal to the one scipy's
+``method="highs"`` front end passes.  HiGHS thus sees the model that
+front end would give it, and returns the same bits, without the per-call
+input cleaning, option validation and sparse-format round trips.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .. import kernels, telemetry
@@ -125,6 +134,11 @@ _MEMO_LOOKUPS = telemetry.counter(
     "Content-addressed component-solve memo lookups, by result",
     labels=("result",),
 )
+_SOLVES = telemetry.counter(
+    "repro_lp_solves_total",
+    "Uncached per-component LP solves, by evaluator path and certification status",
+    labels=("path", "status"),
+)
 _SOLVE_SECONDS = telemetry.histogram(
     "repro_lp_solve_seconds",
     "Wall time of uncached per-component LP solves "
@@ -187,7 +201,7 @@ def solve_component(
             return hit
         _MEMO_LOOKUPS.inc(result="miss")
     with telemetry.span("lp.solve", n=int(n), m=int(m)) as timing:
-        result = _solve_component_uncached(
+        path, result = _solve_component_uncached(
             n,
             u,
             v,
@@ -201,6 +215,7 @@ def solve_component(
             assume_half_integral=assume_half_integral,
             use_fast_paths=use_fast_paths,
         )
+    _SOLVES.inc(path=path, status=result.status)
     if timing.seconds is not None:
         _SOLVE_SECONDS.observe(timing.seconds)
     if cache_key is not None:
@@ -224,22 +239,24 @@ def _solve_component_uncached(
     cg_max_iterations: int,
     assume_half_integral: bool,
     use_fast_paths: bool,
-) -> CoreLPResult:
+) -> tuple[str, CoreLPResult]:
+    """``(path, result)``: the evaluator that answered (``tree``,
+    ``exhaustive`` or ``sandwich``) and its result."""
     if (
         use_fast_paths
         and m == n - 1
         and float(delta).is_integer()
         and _is_forest(n, u, v)
     ):
-        return tree_component_value(n, u, v, int(delta))
+        return "tree", tree_component_value(n, u, v, int(delta))
     if n <= exact_threshold:
-        return exhaustive_component_value(n, u, v, delta)
+        return "exhaustive", exhaustive_component_value(n, u, v, delta)
 
     outer = cutting_plane_component(
         n, u, v, delta, separation_tolerance, min(max_rounds, 12), strict=False
     )
     if outer.gap == 0.0:
-        return outer
+        return "sandwich", outer
     upper = outer.value + outer.gap
 
     cg = column_generation_component(
@@ -257,16 +274,16 @@ def _solve_component_uncached(
     added = outer.constraints_added + cg.constraints_added
     gap = max(upper - lower, 0.0)
     if gap <= 1e-6:
-        return CoreLPResult(lower, cg.x, rounds, added, 0.0, "exact")
+        return "sandwich", CoreLPResult(lower, cg.x, rounds, added, 0.0, "exact")
     # Optima are half-integral only for integral Δ (Δ = 1.5 already has
     # quarter-integral ones), so only those are snapped.
     if assume_half_integral and float(delta).is_integer():
         snapped = _unique_half_integer(lower, upper)
         if snapped is not None:
-            return CoreLPResult(
+            return "sandwich", CoreLPResult(
                 min(snapped, target), cg.x, rounds, added, 0.0, "snapped"
             )
-    return CoreLPResult(lower, cg.x, rounds, added, gap, "approx")
+    return "sandwich", CoreLPResult(lower, cg.x, rounds, added, gap, "approx")
 
 
 def _unique_half_integer(lower: float, upper: float) -> Optional[float]:
@@ -479,31 +496,25 @@ def exhaustive_component_value(
     forest_rows = inc[touched]
     forest_rhs = (sizes[touched] - 1).astype(float)
 
-    deg_rows_idx = np.concatenate([u, v])
-    deg_cols_idx = np.concatenate([np.arange(m), np.arange(m)])
-    degree_matrix = sparse.csr_matrix(
-        (np.ones(2 * m), (deg_rows_idx, deg_cols_idx)), shape=(n, m)
-    )
-    keep_deg = np.asarray(degree_matrix.sum(axis=1)).ravel() > 0
-    degree_matrix = degree_matrix[keep_deg]
-    degree_rhs = np.full(int(keep_deg.sum()), float(delta))
-
+    # Forest rows first (mask order), then one degree row per non-isolated
+    # vertex; each column's row indices ascend, as _solve_lp requires.
     rows, cols = np.nonzero(forest_rows)
-    forest_matrix = sparse.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(forest_rows.shape[0], m)
+    endpoints = np.concatenate([u, v])
+    touched_vertex = np.bincount(endpoints, minlength=n) > 0
+    degree_row = forest_rows.shape[0] + np.cumsum(touched_vertex) - 1
+    num_degree = int(touched_vertex.sum())
+    edge_ids = np.arange(m, dtype=np.int64)
+    x, objective, _ = _solve_lp(
+        -np.ones(m),
+        1.0,
+        np.concatenate([rows, degree_row[endpoints]]),
+        np.concatenate([cols, edge_ids, edge_ids]),
+        np.ones(rows.size + 2 * m),
+        np.full(forest_rows.shape[0] + num_degree, -np.inf),
+        np.concatenate([forest_rhs, np.full(num_degree, float(delta))]),
     )
-    a_ub = sparse.vstack([forest_matrix, degree_matrix], format="csr")
-    b_ub = np.concatenate([forest_rhs, degree_rhs])
-    solution = linprog(
-        -np.ones(m), A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
-    )
-    if not solution.success:
-        raise ForestLPError(
-            f"exhaustive LP failed (status {solution.status}): {solution.message}"
-        )
-    x = np.maximum(np.asarray(solution.x, dtype=float), 0.0)
-    value = max(-float(solution.fun), 0.0)
-    return CoreLPResult(min(value, target), x, 1, 2**n, 0.0, "exact")
+    value = max(-objective, 0.0)
+    return CoreLPResult(min(value, target), np.maximum(x, 0.0), 1, 2**n, 0.0, "exact")
 
 
 # ----------------------------------------------------------------------
@@ -754,30 +765,41 @@ def cutting_plane_component(
     m = u.size
     target = float(n - 1)
     c = -np.ones(m)
-    cols = np.arange(m, dtype=np.int64)
-    degree_matrix = sparse.csr_matrix(
-        (np.ones(2 * m), (np.concatenate([u, v]), np.concatenate([cols, cols]))),
-        shape=(n, m),
-    )
-    degree_rhs = np.full(n, float(delta))
+    edge_ids = np.arange(m, dtype=np.int64)
+    # Constraint rows in COO form, built once each: the degree block
+    # (rows 0..n-1), then one row x(E[S]) <= |S| - 1 per lazy set, in the
+    # order the sets were added.
+    row_blocks = [np.concatenate([u, v])]
+    col_blocks = [np.concatenate([edge_ids, edge_ids])]
+    rhs = [float(delta)] * n
+    forest_sets: set[frozenset[int]] = set()
 
-    forest_sets: list[frozenset[int]] = [frozenset(range(n))]
+    def add_forest_row(subset: frozenset[int]) -> None:
+        member = np.zeros(n, dtype=bool)
+        member[list(subset)] = True
+        inside = np.nonzero(member[u] & member[v])[0]
+        row_blocks.append(np.full(inside.size, len(rhs), dtype=np.int64))
+        col_blocks.append(inside)
+        rhs.append(float(len(subset) - 1))
+        forest_sets.add(subset)
+
+    add_forest_row(frozenset(range(n)))
     total_added = 0
     last_value = float("inf")
     stall = 0
     for round_number in range(1, max_rounds + 1):
-        lazy_matrix, lazy_rhs = _forest_constraint_matrix(forest_sets, u, v, n)
-        a_ub = sparse.vstack([degree_matrix, lazy_matrix], format="csr")
-        b_ub = np.concatenate([degree_rhs, lazy_rhs])
-        solution = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
+        rows = np.concatenate(row_blocks)
+        x, objective, _ = _solve_lp(
+            c,
+            1.0,
+            rows,
+            np.concatenate(col_blocks),
+            np.ones(rows.size),
+            np.full(len(rhs), -np.inf),
+            np.array(rhs),
         )
-        if not solution.success:
-            raise ForestLPError(
-                f"inner LP failed (status {solution.status}): {solution.message}"
-            )
-        lp_value = -float(solution.fun)
-        x = np.maximum(np.asarray(solution.x, dtype=float), 0.0)
+        lp_value = -objective
+        x = np.maximum(x, 0.0)
         violated = violated_forest_sets(
             n, u, v, x, tolerance=separation_tolerance
         )
@@ -801,7 +823,8 @@ def cutting_plane_component(
         else:
             stall = 0
         last_value = lp_value
-        forest_sets.extend(new_sets)
+        for subset in new_sets:
+            add_forest_row(subset)
         total_added += len(new_sets)
     if strict:
         raise ForestLPError(
@@ -812,29 +835,6 @@ def cutting_plane_component(
         0.0, np.zeros(m), max_rounds, total_added,
         min(last_value, target), "outer-bound",
     )
-
-
-def _forest_constraint_matrix(
-    forest_sets: list[frozenset[int]], u: np.ndarray, v: np.ndarray, n: int
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Sparse rows for ``x(E[S]) ≤ |S| − 1``, one per set."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    rhs = np.empty(len(forest_sets))
-    for i, subset in enumerate(forest_sets):
-        rhs[i] = len(subset) - 1
-        member = np.zeros(n, dtype=bool)
-        member[list(subset)] = True
-        inside = np.nonzero(member[u] & member[v])[0]
-        rows.append(np.full(inside.size, i, dtype=np.int64))
-        cols.append(inside)
-    all_rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    all_cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    matrix = sparse.csr_matrix(
-        (np.ones(all_rows.size), (all_rows, all_cols)),
-        shape=(len(forest_sets), u.size),
-    )
-    return matrix, rhs
 
 
 # ----------------------------------------------------------------------
@@ -948,16 +948,15 @@ def column_generation_component(
     best_solution: Optional[tuple[float, np.ndarray]] = None
 
     for iteration in range(1, max_iterations + 1):
-        master = _solve_master(columns, u, v, n, delta)
-        lower = -float(master.fun)
+        mu, objective, duals = _solve_master(columns, u, v, n, delta)
         if len(columns) > 500:
-            columns = _prune_columns(columns, master.x)
+            columns = _prune_columns(columns, mu)
             seen = {frozenset(column) for column in columns}
-            master = _solve_master(columns, u, v, n, delta)
-            lower = -float(master.fun)
+            mu, objective, duals = _solve_master(columns, u, v, n, delta)
+        lower = -objective
         if best_solution is None or lower > best_solution[0]:
-            best_solution = (lower, _mixture(master.x, columns, m))
-        lam = -np.minimum(master.ineqlin.marginals, 0.0)
+            best_solution = (lower, _mixture(mu, columns, m))
+        lam = -np.minimum(duals, 0.0)
         improved = False
         for lam_candidate in (lam, _SMOOTHING * lam_best + (1 - _SMOOTHING) * lam):
             weights = 1.0 - lam_candidate[u] - lam_candidate[v]
@@ -1045,16 +1044,18 @@ def _solve_master(
     v: np.ndarray,
     n: int,
     delta: float,
-):
-    """Solve the restricted master LP and return the scipy result."""
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Solve the restricted master LP: ``(mu, objective, degree duals)``.
+
+    Rows ``0..n-1`` cap each vertex's expected degree at Δ; row ``n`` is
+    the convexity row ``sum(mu) = 1``.
+    """
     k = len(columns)
     c = np.array([-float(len(column)) for column in columns])
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
     for col_index, column in enumerate(columns):
-        if not column:
-            continue
         idx = np.asarray(column, dtype=np.int64)
         counts = np.bincount(
             np.concatenate([u[idx], v[idx]]), minlength=n
@@ -1063,24 +1064,85 @@ def _solve_master(
         rows.append(touched)
         cols.append(np.full(touched.size, col_index, dtype=np.int64))
         data.append(counts[touched].astype(float))
-    if rows:
-        a_ub = sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, k),
-        )
-    else:
-        a_ub = sparse.csr_matrix((n, k))
-    b_ub = np.full(n, float(delta))
-    a_eq = np.ones((1, k))
-    solution = linprog(
+    column_ids = np.arange(k, dtype=np.int64)
+    mu, objective, row_dual = _solve_lp(
         c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=np.array([1.0]),
-        bounds=(0.0, None),
-        method="highs",
+        np.inf,
+        np.concatenate(rows + [np.full(k, n, dtype=np.int64)]),
+        np.concatenate(cols + [column_ids]),
+        np.concatenate(data + [np.ones(k)]),
+        np.concatenate([np.full(n, -np.inf), [1.0]]),
+        np.concatenate([np.full(n, float(delta)), [1.0]]),
     )
-    if not solution.success:
-        raise ForestLPError(f"master LP failed: {solution.message}")
-    return solution
+    return mu, objective, row_dual[:n]
+
+
+# ----------------------------------------------------------------------
+# Direct HiGHS solves
+# ----------------------------------------------------------------------
+# Exactly the options scipy's ``method="highs"`` LP front end hands
+# HiGHS, validated once here instead of on every solve.
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.simplex_strategy = (
+    _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+)
+
+
+def _solve_lp(
+    c: np.ndarray,
+    col_upper: float,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Minimize ``c·x`` s.t. ``row_lower ≤ A x ≤ row_upper``, ``0 ≤ x ≤ col_upper``.
+
+    ``A`` arrives as COO arrays in which each column's row indices appear
+    in ascending order, so one stable sort by column yields scipy's
+    canonical CSC — the matrix scipy's ``method="highs"`` front end would
+    build.  With the same costs, bounds and :data:`_HIGHS_OPTIONS`, HiGHS
+    performs the same run as under that front end and returns the same
+    ``(x, objective, row duals)`` bits.  Any status but optimal raises
+    :class:`ForestLPError`.
+    """
+    num_col, num_row = c.size, row_upper.size
+    order = np.argsort(cols, kind="stable")
+    start = np.zeros(num_col + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=num_col), out=start[1:])
+    lp = _highs.HighsLp()
+    lp.num_col_ = num_col
+    lp.num_row_ = num_row
+    lp.a_matrix_.num_col_ = num_col
+    lp.a_matrix_.num_row_ = num_row
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = rows[order].tolist()
+    lp.a_matrix_.value_ = vals[order].tolist()
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = [0.0] * num_col
+    lp.col_upper_ = [float(col_upper)] * num_col
+    lp.row_lower_ = row_lower.tolist()
+    lp.row_upper_ = row_upper.tolist()
+    highs = _highs._Highs()
+    if highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
+        raise ForestLPError("HiGHS rejected the solver options")
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise ForestLPError("HiGHS rejected the LP model")
+    ran = highs.run()
+    status = highs.getModelStatus()
+    if ran == _highs.HighsStatus.kError or status != _highs.HighsModelStatus.kOptimal:
+        raise ForestLPError(
+            f"HiGHS LP not solved to optimality: {highs.modelStatusToString(status)}"
+        )
+    solution = highs.getSolution()
+    return (
+        np.array(solution.col_value),
+        highs.getInfo().objective_function_value,
+        np.array(solution.row_dual),
+    )

@@ -67,6 +67,24 @@ def _connected_graph(n, p, rng):
     return iu[keep].astype(np.int64), iv[keep].astype(np.int64)
 
 
+def _near_regular_graph(n, k, drop, rng):
+    """The circulant C_n(1..k) (2k-regular) minus up to ``drop`` chords,
+    randomly relabeled, as canonical edge arrays; the cycle of offset 1
+    keeps it connected."""
+    base = np.arange(n)
+    edges = [(base, (base + d) % n) for d in range(1, k + 1)]
+    a = np.concatenate([e[0] for e in edges])
+    b = np.concatenate([e[1] for e in edges])
+    chords = np.nonzero(np.arange(a.size) >= n)[0]
+    keep = np.ones(a.size, dtype=bool)
+    keep[rng.choice(chords, size=min(drop, chords.size), replace=False)] = False
+    label = rng.permutation(n)
+    a, b = label[a[keep]], label[b[keep]]
+    u, v = np.minimum(a, b), np.maximum(a, b)
+    pairs = np.unique(np.stack([u, v], axis=1), axis=0)
+    return pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
+
+
 def _separation_case(seed, p):
     """A random connected graph (n ≤ 20), an ``x`` on its edges and a
     ``max_sets`` that often truncates.
@@ -198,6 +216,50 @@ class TestSolveComponent:
             n, u, v, delta, max_rounds=rounds, cg_max_iterations=cg_iterations
         )
         assert core.status in ("exact", "approx")
+
+    def test_solves_counter_counts_uncached_solves(self):
+        u, v = _connected_graph(20, 0.3, np.random.default_rng(1))
+        forest_core.clear_solve_cache()
+
+        def solves(path, status):
+            return telemetry.counter_value(
+                telemetry.snapshot(), "repro_lp_solves_total", path=path, status=status
+            )
+
+        before = solves("sandwich", "exact")
+        first = forest_core.solve_component(20, u, v, 2)
+        assert first.status == "exact"
+        assert solves("sandwich", "exact") == before + 1
+        again = forest_core.solve_component(20, u, v, 2)  # a memo hit
+        assert again is first
+        assert solves("sandwich", "exact") == before + 1
+
+    @given(
+        n=st.integers(14, 15),
+        family=st.sampled_from(["sparse", "near_regular"]),
+        p=st.floats(0.15, 0.35),
+        k=st.integers(3, 5),
+        drop=st.integers(0, 4),
+        seed=st.integers(0, 10**6),
+        delta=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=20)
+    def test_sandwich_matches_exhaustive_half_integral(
+        self, n, family, p, k, drop, seed, delta
+    ):
+        """Above EXACT_THRESHOLD the certified sandwich (with its
+        half-integral snap) agrees with the exhaustive LP, whose optimum
+        is a multiple of 1/2 for integral Δ."""
+        rng = np.random.default_rng(seed)
+        if family == "sparse":
+            u, v = _connected_graph(n, p, rng)
+        else:
+            u, v = _near_regular_graph(n, k, drop, rng)
+        exact = forest_core.exhaustive_component_value(n, u, v, delta)
+        core = forest_core.solve_component(n, u, v, delta, use_fast_paths=False)
+        assert core.status in ("exact", "snapped")
+        assert core.value == pytest.approx(exact.value, abs=1e-9)
+        assert 2 * exact.value == pytest.approx(round(2 * exact.value), abs=1e-9)
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError, match="positive"):

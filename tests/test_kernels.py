@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro import kernels
 from repro.core.extension import extension_for
@@ -225,3 +225,85 @@ def test_backend_gauge_reports_backend(monkeypatch):
         snap, "repro_kernel_backend_info", backend="numpy"
     )
     assert value == 1.0
+
+
+# ----------------------------------------------------------------------
+# numpy backend's list-based loops vs the object union-find they replaced
+# ----------------------------------------------------------------------
+class _IntUnionFind:
+    """Reference: the array union-find (path halving, union by min root)
+    the numpy backend's greedy loops used before they were inlined."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def _reference_is_forest(n, u, v):
+    uf = _IntUnionFind(n)
+    return all(uf.union(int(a), int(b)) for a, b in zip(u.tolist(), v.tolist()))
+
+
+def _reference_max_weight_forest(n, u, v, weights):
+    uf = _IntUnionFind(n)
+    chosen, total = [], 0.0
+    for j in np.argsort(-weights, kind="stable").tolist():
+        w = weights[j]
+        if w <= 0:
+            break
+        if uf.union(int(u[j]), int(v[j])):
+            chosen.append(int(j))
+            total += float(w)
+    return chosen, total
+
+
+def _reference_greedy_capped_forest(n, u, v, order, caps):
+    uf = _IntUnionFind(n)
+    degree = np.zeros(n, dtype=np.int64)
+    chosen = []
+    for j in order:
+        a, b = int(u[j]), int(v[j])
+        if degree[a] < caps[a] and degree[b] < caps[b] and uf.union(a, b):
+            chosen.append(j)
+            degree[a] += 1
+            degree[b] += 1
+    return chosen, degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(min_vertices=2, max_vertices=30), seed=st.integers(0, 2**16))
+def test_numpy_greedy_loops_match_union_find_reference(graph, seed):
+    compact = as_compact(graph)
+    n = compact.number_of_vertices()
+    u, v = compact.edge_arrays()
+    rng = np.random.default_rng(seed)
+    order = [int(j) for j in rng.permutation(u.size)]
+    caps = rng.integers(0, 4, size=n).astype(np.int64)
+    weights = rng.normal(size=u.size)
+
+    assert kernels.is_forest(n, u, v) == _reference_is_forest(n, u, v)
+    chosen, total = kernels.max_weight_forest(n, u, v, weights)
+    ref_chosen, ref_total = _reference_max_weight_forest(n, u, v, weights)
+    assert chosen == ref_chosen
+    assert total.hex() == ref_total.hex()
+    chosen, degree = kernels.greedy_capped_forest(n, u, v, order, caps)
+    ref_chosen, ref_degree = _reference_greedy_capped_forest(n, u, v, order, caps)
+    assert chosen == ref_chosen
+    assert degree.dtype == ref_degree.dtype
+    assert np.array_equal(degree, ref_degree)
+    if chosen:
+        picked = np.asarray(chosen, dtype=np.int64)
+        assert kernels.is_forest(n, u[picked], v[picked])
