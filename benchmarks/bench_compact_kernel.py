@@ -1,4 +1,4 @@
-"""E9 — Array-backed kernel: f_cc speedup on large Erdős–Rényi graphs.
+"""E18 — Array-backed kernel: f_cc speedup on large Erdős–Rényi graphs.
 
 Acceptance benchmark for the CompactGraph fast path: on G(n, c/n) with
 ``n = 10^5`` the CSR + array-union-find ``f_cc`` must be at least 5×
@@ -37,7 +37,7 @@ def _best_of(repeats, fn):
 
 
 def _run_experiment(rng):
-    reset_results("E9")
+    reset_results("E18")
     rows = []
 
     generate_time, compact = _best_of(
@@ -84,14 +84,14 @@ def _run_experiment(rng):
     )
 
     emit_table(
-        "E9",
+        "E18",
         ["n", "m", "f_cc", "ref f_cc s", "compact f_cc s", "speedup"],
         rows,
         f"G(n, {_C:g}/n): object-graph BFS vs CSR array union-find "
         f"(required speedup >= {_REQUIRED_SPEEDUP:g}x)",
     )
     emit_table(
-        "E9",
+        "E18",
         ["kernel", "seconds"],
         [
             [f"compact generate n={_N}", generate_time],

@@ -1,4 +1,4 @@
-"""E11 — Amortized release-session serving: hot-graph query speedup.
+"""E21 — Amortized release-session serving: hot-graph query speedup.
 
 Acceptance benchmark for the PR-4 tentpole: a
 :class:`~repro.service.ReleaseSession` answering 32 mixed
@@ -61,7 +61,7 @@ def _query_rng(i: int) -> np.random.Generator:
 
 
 def _run_experiment(rng):
-    reset_results("E11")
+    reset_results("E21")
 
     graph = erdos_renyi_compact(_N, _C / _N, rng)
 
@@ -116,7 +116,7 @@ def _run_experiment(rng):
         ]
     ]
     emit_table(
-        "E11",
+        "E21",
         [
             "n",
             "m",

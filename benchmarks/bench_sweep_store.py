@@ -1,4 +1,4 @@
-"""E10 — Sweep orchestration: resume throughput and store overhead.
+"""E20 — Sweep orchestration: resume throughput and store overhead.
 
 Two claims about the `repro.experiments` layer, measured:
 
@@ -44,7 +44,7 @@ def _spec(n_cells_per_mech: int) -> SweepSpec:
 
 
 def _run_experiment(tmp_root: str):
-    reset_results("E10")
+    reset_results("E20")
     spec = _spec(10)  # 2 epsilons x 10 replicates = 20 Algorithm-1 cells
     store = ResultStore(os.path.join(tmp_root, "store"))
 
@@ -61,7 +61,7 @@ def _run_experiment(tmp_root: str):
     speedup = compute_seconds / cached_seconds
     cells = spec.cell_count()
     emit_table(
-        "E10",
+        "E20",
         ["cells", "compute s", "resume s", "per-cell resume ms", "speedup"],
         [
             [

@@ -3,7 +3,7 @@
 Acceptance benchmark for the PR-7 tentpole: the telemetry layer
 (always-on counters plus span tracing with a live tracer installed)
 may cost at most ``REPRO_BENCH_MAX_TELEMETRY_OVERHEAD`` (default 5%)
-on the warm 32-query session workload from E11 — and must release
+on the warm 32-query session workload from E21 — and must release
 **bit-identical** values either way (spans read only ``perf_counter``;
 they never touch RNG state).
 

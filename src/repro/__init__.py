@@ -43,10 +43,11 @@ a process pool) with :func:`run_trial_batch`:
 
 Public surface: the :class:`Graph` substrate, the :class:`CompactGraph`
 array kernel and statistics (``repro.graphs``), the
-Lipschitz-extension family and Algorithm 1 (``repro.core``), DP
-mechanisms (``repro.mechanisms``), the flow/LP machinery
-(``repro.flow``, ``repro.lp``), and the experiment harness with the
-batched trial engine (``repro.analysis``).
+Lipschitz-extension family and Algorithm 1 (``repro.core``; object
+graphs convert once to a :class:`CompactGraph` and share its engine),
+DP mechanisms (``repro.mechanisms``), the forest-LP core and its
+max-flow substrate (``repro.lp``, ``repro.flow``), and the experiment
+harness with the batched trial engine (``repro.analysis``).
 """
 
 from .graphs import (

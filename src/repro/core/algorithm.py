@@ -146,7 +146,7 @@ class PrivateSpanningForestSize:
         Upper end of the candidate grid.  ``None`` uses ``n`` (the
         paper's choice; treats the graph size as public).
     use_fast_paths, separation_tolerance, max_rounds:
-        LP evaluation controls (see :mod:`repro.lp.forest_lp`).
+        LP evaluation controls (see :func:`repro.lp.forest_core.solve_component`).
     """
 
     epsilon: float
@@ -173,9 +173,10 @@ class PrivateSpanningForestSize:
     def _extension_for(self, graph):
         """Return a (cached) extension family bound to ``graph``.
 
-        Object graphs get :class:`~repro.core.extension.SpanningForestExtension`;
-        :class:`~repro.graphs.compact.CompactGraph` inputs get the
-        compact-native front end — no object-graph round trip anywhere.
+        Object graphs get :class:`~repro.core.extension.SpanningForestExtension`,
+        which converts them once; :class:`~repro.graphs.compact.CompactGraph`
+        inputs go to the compact engine directly, with no object-graph
+        round trip anywhere.
         The extension values ``f_Δ(G)`` are deterministic, so repeated
         releases on the *same graph object* reuse one evaluation cache.
         Graphs are treated as immutable once released against.

@@ -1,22 +1,21 @@
 """The Lipschitz-extension family ``{f_Δ}`` for the spanning-forest size.
 
 Implements Algorithm 2 (``EvalLipschitzExtension``) for a whole family
-of Δ values, as Algorithm 1 / Algorithm 4 require, in two front ends
-that share one component-wise evaluation engine:
+of Δ values, as Algorithm 1 / Algorithm 4 require, with one evaluation
+engine: :class:`CompactSpanningForestExtension`, bound to an
+array-backed :class:`~repro.graphs.compact.CompactGraph`.  The component
+split, degree scan and exactness test are vectorized kernel work shared
+across every Δ in the candidate grid; each component that is not settled
+there goes through the Algorithm-3 repair at ⌊Δ⌋ (with monotone
+memoization) and then the int-native LP core of
+:mod:`repro.lp.forest_core`.  No object graph is built on the way.
 
-* :class:`SpanningForestExtension` — bound to a reference object
-  :class:`~repro.graphs.graph.Graph`;
-* :class:`CompactSpanningForestExtension` — bound to an array-backed
-  :class:`~repro.graphs.compact.CompactGraph`, with the component
-  split, degree scan and exactness test done as vectorized kernel work
-  shared across every Δ in the candidate grid, and **zero object-graph
-  coercion** anywhere on the path.
-
-Both front ends take identical per-component decisions (max-degree
-check, Algorithm-3 repair at ⌊Δ⌋ with monotone memoization, then the
-shared int-native LP core of :mod:`repro.lp.forest_core`), so for
-int-indexed graphs the two produce bit-identical values — the property
-the compact-vs-reference differential tests pin.
+Object graphs convert once: :class:`SpanningForestExtension` numbers
+the vertices of a labelled :class:`~repro.graphs.graph.Graph` component
+by component (first-inserted component first, sorted labels inside) and
+hands the result to the same engine, so every component reaches the LP
+core as the same canonical ``(n, u, v)`` arrays whatever the labels or
+the insertion order.
 
 Lemma 3.3 properties (all verified by the test suite):
 
@@ -35,17 +34,12 @@ import numpy as np
 
 from .. import telemetry
 from ..graphs.compact import CompactGraph, component_fingerprint
-from ..graphs.components import connected_components, spanning_forest_size
+from ..graphs.forests import _sort_key
 from ..graphs.graph import Graph
 from ..lp.forest_core import (
     EXACT_THRESHOLD,
     batched_tree_values,
     solve_component,
-)
-from ..lp.forest_lp import (
-    ForestLPResult,
-    canonical_component_arrays,
-    forest_polytope_value,
 )
 
 __all__ = [
@@ -82,29 +76,24 @@ def _multi_slice(starts: np.ndarray, lengths: np.ndarray, total: int) -> np.ndar
     return np.arange(total, dtype=np.int64) + np.repeat(shifts, lengths)
 
 
-def evaluate_lipschitz_extension(graph: Graph, delta: float, **lp_options) -> float:
+def evaluate_lipschitz_extension(graph, delta: float, **controls) -> float:
     """Algorithm 2: return ``f_Δ(G)`` for a single Δ.
 
-    Convenience wrapper; use :class:`SpanningForestExtension` when
-    evaluating several Δ on the same graph (it caches).
+    Convenience wrapper over :func:`extension_for`; keep the extension
+    itself when evaluating several Δ on the same graph (it caches).
     """
-    return forest_polytope_value(graph, delta, **lp_options).value
+    return extension_for(graph, **controls).value(delta)
 
 
 class _ComponentwiseExtension:
     """Shared engine: per-component evaluation with monotone memoization.
 
-    Subclasses populate, in :meth:`_prepare` (idempotent, lazy):
-
-    * ``self._sizes`` / ``self._maxdeg`` — int64 arrays over the
-      edge-bearing components;
-
-    and implement ``_component_arrays(i) -> (n, u, v)`` — the canonical
-    local index arrays handed to the shared LP core.  Algorithm-3 repair
-    runs on a :class:`CompactGraph` built from those same arrays for
-    *both* front ends, so the success/failure decision (and hence every
-    released value) is identical by construction regardless of the input
-    representation.
+    The subclass (:class:`CompactSpanningForestExtension`) implements
+    :meth:`_prepare` (idempotent, lazy), which installs the per-component
+    tables through :meth:`_finish_prepare`; ``_component_arrays(i) ->
+    (n, u, v)``, the canonical local index arrays handed to the LP core
+    and to the Algorithm-3 repair; and ``_batch_local_arrays(batch)``,
+    the concatenated forest the batched tree pass values.
 
     Per-component bookkeeping exploits monotonicity: a spanning
     ⌊Δ⌋-forest certifies exactness for every Δ' ≥ ⌊Δ⌋ (``_exact_from``),
@@ -159,15 +148,6 @@ class _ComponentwiseExtension:
         self._component_fps: Optional[list[str]] = None
         self._true_fsf = 0
 
-    # -- subclass interface -------------------------------------------------
-    def _prepare(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _component_arrays(
-        self, i: int
-    ) -> tuple[int, np.ndarray, np.ndarray]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _finish_prepare(self, sizes, maxdeg, edge_counts=None) -> None:
         """Install the per-component tables (called by subclasses).
 
@@ -200,11 +180,7 @@ class _ComponentwiseExtension:
         return cached
 
     def _attempt_repair(self, i: int, floor_delta: int) -> bool:
-        """Algorithm 3 at cap ``floor_delta`` on the canonical component.
-
-        Runs on the local-index compact kernel for both front ends so the
-        decision is representation-independent.
-        """
+        """Algorithm 3 at cap ``floor_delta`` on the canonical component."""
         with telemetry.span("extension.repair", component=i, cap=floor_delta):
             repaired = (
                 self._component_graph(i)
@@ -332,28 +308,6 @@ class _ComponentwiseExtension:
         out = np.empty(chunk.size)
         out[component] = root_values
         return out
-
-    def _batch_local_arrays(
-        self, batch: np.ndarray
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate the components in ``batch`` into one local forest.
-
-        Returns ``(nloc, u, v, offsets)`` where component ``batch[k]``
-        occupies the local vertices ``offsets[k]..offsets[k+1]-1``.
-        Subclasses with a vectorized component split override this; the
-        generic fallback stacks the canonical per-component arrays.
-        """
-        arrays = [self._component_arrays(int(i)) for i in batch.tolist()]
-        counts = np.array([a[0] for a in arrays], dtype=np.int64)
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        lu = np.concatenate(
-            [a[1] + off for a, off in zip(arrays, offsets[:-1].tolist())]
-        )
-        lv = np.concatenate(
-            [a[2] + off for a, off in zip(arrays, offsets[:-1].tolist())]
-        )
-        return int(offsets[-1]), lu, lv, offsets
 
     def values_for_grid(self, candidates: Sequence[float]) -> np.ndarray:
         """Evaluate ``f_Δ`` for a whole candidate grid in one pass.
@@ -534,106 +488,6 @@ class _ComponentwiseExtension:
         return core.value
 
 
-class SpanningForestExtension(_ComponentwiseExtension):
-    """The family ``{f_Δ}_{Δ > 0}`` bound to one object graph, with caching.
-
-    Parameters
-    ----------
-    graph:
-        The input graph ``G``.  The object keeps a reference; callers
-        must not mutate ``G`` afterwards (values are cached per Δ).
-    use_fast_paths:
-        Forwarded to the LP evaluator (see
-        :func:`repro.lp.forest_lp.forest_polytope_value`).
-    separation_tolerance, max_rounds:
-        LP evaluation controls, forwarded likewise.
-
-    Examples
-    --------
-    >>> from repro.graphs.generators import star_graph
-    >>> ext = SpanningForestExtension(star_graph(4))
-    >>> ext.value(4)  # a spanning 4-forest exists: exact
-    4.0
-    >>> ext.value(1) <= ext.value(2) <= ext.value(4)  # monotone in delta
-    True
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        use_fast_paths: bool = True,
-        batched_certificates: bool = True,
-        separation_tolerance: float = 1e-7,
-        max_rounds: int = 200,
-        exact_threshold: int = EXACT_THRESHOLD,
-        cg_max_iterations: int = 120,
-        assume_half_integral: bool = True,
-    ) -> None:
-        super().__init__(
-            use_fast_paths=use_fast_paths,
-            batched_certificates=batched_certificates,
-            separation_tolerance=separation_tolerance,
-            max_rounds=max_rounds,
-            exact_threshold=exact_threshold,
-            cg_max_iterations=cg_max_iterations,
-            assume_half_integral=assume_half_integral,
-        )
-        self._graph = graph
-        self._true_fsf = spanning_forest_size(graph)
-        self._components: list[Graph] = []
-        self._arrays: list[Optional[tuple[int, np.ndarray, np.ndarray]]] = []
-        self._result_cache: dict[float, ForestLPResult] = {}
-
-    @property
-    def graph(self) -> Graph:
-        """The bound input graph."""
-        return self._graph
-
-    def _prepare(self) -> None:
-        sizes: list[int] = []
-        maxdeg: list[int] = []
-        edge_counts: list[int] = []
-        for members in connected_components(self._graph):
-            sub = self._graph.induced_subgraph(members)
-            if sub.number_of_edges() == 0:
-                continue
-            self._components.append(sub)
-            sizes.append(sub.number_of_vertices())
-            maxdeg.append(sub.max_degree())
-            edge_counts.append(sub.number_of_edges())
-        self._arrays = [None] * len(self._components)
-        self._finish_prepare(sizes, maxdeg, edge_counts)
-
-    def _component_arrays(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
-        cached = self._arrays[i]
-        if cached is None:
-            component = self._components[i]
-            _, u, v = canonical_component_arrays(component)
-            cached = (component.number_of_vertices(), u, v)
-            self._arrays[i] = cached
-        return cached
-
-    def result(self, delta: float) -> ForestLPResult:
-        """Full LP result for ``f_Δ(G)`` (cached per Δ).
-
-        Diagnostic companion to :meth:`value`: re-evaluates through
-        :func:`forest_polytope_value` to materialize a feasible point
-        ``x``; the scalar value may differ from :meth:`value` by solver
-        round-off on components resolved by different strategies.
-        """
-        key = float(delta)
-        if key not in self._result_cache:
-            self._result_cache[key] = forest_polytope_value(
-                self._graph,
-                key,
-                use_fast_paths=self._use_fast_paths,
-                separation_tolerance=self._separation_tolerance,
-                max_rounds=self._max_rounds,
-            )
-        return self._result_cache[key]
-
-
 class CompactSpanningForestExtension(_ComponentwiseExtension):
     """``{f_Δ}`` bound to a :class:`CompactGraph` — the fast pipeline.
 
@@ -747,8 +601,10 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
     def _batch_local_arrays(
         self, batch: np.ndarray
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized multi-component gather from the prepared arrays.
+        """Concatenate the components in ``batch`` into one local forest.
 
+        Returns ``(nloc, u, v, offsets)`` where component ``batch[k]``
+        occupies the local vertices ``offsets[k]..offsets[k+1]-1``.
         Renumbers the batch's vertices into one dense local range with a
         reusable O(n) scatter buffer — no per-component Python work, so
         a million-tree batch is a handful of array ops.
@@ -772,8 +628,67 @@ class CompactSpanningForestExtension(_ComponentwiseExtension):
         return nloc, local[self._eu[edge_index]], local[self._ev[edge_index]], offsets
 
 
+def _canonical_compact(graph: Graph) -> CompactGraph:
+    """Convert ``graph`` once, numbering vertices component by component.
+
+    Components come in ``connected_components(graph)`` order (by their
+    first-inserted vertex) and each takes one contiguous id block, in
+    sorted-label order (``_sort_key`` order when its labels do not
+    compare).  The engine thus meets the components in that order, each
+    as the local arrays of its sorted labels: the id order fixes the
+    ``np.sum`` slot order and every LP input, so it decides the last bits
+    of the values.
+    """
+    inserted = CompactGraph.from_graph(graph)
+    labels = inserted.labels()
+    order: list[int] = []
+    for part in inserted.component_index_sets():
+        ids = part.tolist()
+        members = [labels[i] for i in ids]
+        try:
+            rank = sorted(range(len(ids)), key=members.__getitem__)
+        except TypeError:
+            rank = sorted(range(len(ids)), key=lambda k: _sort_key(members[k]))
+        order.extend(ids[k] for k in rank)
+    new_id = np.empty(len(order), dtype=np.int64)
+    new_id[order] = np.arange(len(order), dtype=np.int64)
+    u, v = inserted.edge_arrays()
+    return CompactGraph.from_edge_arrays(
+        len(order), new_id[u], new_id[v], labels=[labels[i] for i in order]
+    )
+
+
+class SpanningForestExtension(CompactSpanningForestExtension):
+    """``{f_Δ}`` bound to an object :class:`Graph`, converted once.
+
+    Evaluation runs on :func:`_canonical_compact`'s conversion; the
+    options are :class:`CompactSpanningForestExtension`'s.  :attr:`graph`
+    stays the object graph, because estimators reuse a cached extension
+    only for the identical graph object.  Callers must not mutate ``G``
+    afterwards (values are cached per Δ).
+
+    Examples
+    --------
+    >>> from repro.graphs.generators import star_graph
+    >>> ext = SpanningForestExtension(star_graph(4))
+    >>> ext.value(4)  # a spanning 4-forest exists: exact
+    4.0
+    >>> ext.value(1) <= ext.value(2) <= ext.value(4)  # monotone in delta
+    True
+    """
+
+    def __init__(self, graph: Graph, **options) -> None:
+        super().__init__(_canonical_compact(graph), **options)
+        self._object_graph = graph
+
+    @property
+    def graph(self) -> Graph:
+        """The bound input graph."""
+        return self._object_graph
+
+
 def extension_for(graph, **options):
-    """Build the extension front end matching the graph representation."""
+    """Build the extension bound to ``graph``; object graphs convert once."""
     if isinstance(graph, CompactGraph):
         return CompactSpanningForestExtension(graph, **options)
     return SpanningForestExtension(graph, **options)

@@ -6,11 +6,10 @@ tolerance below which residual capacity is treated as zero.  With
 finitely many distinct capacity values derived from one LP solution this
 converges exactly like the integral case.
 
-Two separation oracles use it: the object-graph one in
-:mod:`repro.flow.separation`, and
-:func:`repro.lp.forest_core.violated_forest_sets` for the LP solutions
-its batched integer max flow cannot represent exactly (non-dyadic ``x``).
-It is also the reference the batched oracle is tested against.
+The separation oracle :func:`repro.lp.forest_core.violated_forest_sets`
+uses it for the LP solutions its batched integer max flow cannot
+represent exactly (non-dyadic ``x``).  It is also the reference the
+batched oracle is tested against.
 
 The API is deliberately small: build a :class:`FlowNetwork`, call
 :meth:`FlowNetwork.max_flow`, then :meth:`FlowNetwork.min_cut_source_side`

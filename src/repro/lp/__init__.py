@@ -1,23 +1,27 @@
 """Linear-programming substrate: the Δ-bounded forest polytope LP."""
 
-from .forest_lp import (
+from .forest_core import (
     EXACT_THRESHOLD,
+    CoreLPResult,
     ForestLPError,
-    ForestLPResult,
-    forest_polytope_value,
-    forest_lp_component,
-)
-from .column_generation import (
-    ColumnGenerationResult,
-    forest_value_column_generation,
+    batched_tree_values,
+    column_generation_component,
+    cutting_plane_component,
+    exhaustive_component_value,
+    solve_component,
+    tree_component_value,
+    violated_forest_sets,
 )
 
 __all__ = [
     "EXACT_THRESHOLD",
+    "CoreLPResult",
     "ForestLPError",
-    "ForestLPResult",
-    "forest_polytope_value",
-    "forest_lp_component",
-    "ColumnGenerationResult",
-    "forest_value_column_generation",
+    "batched_tree_values",
+    "column_generation_component",
+    "cutting_plane_component",
+    "exhaustive_component_value",
+    "solve_component",
+    "tree_component_value",
+    "violated_forest_sets",
 ]

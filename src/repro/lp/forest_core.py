@@ -1,17 +1,27 @@
 """Int-native evaluation core for the Δ-bounded forest LP.
 
+Definition 3.1 of the paper: ``f_Δ(G) = max x(E)`` over vectors
+``x ∈ R^E`` with
+
+    x(e) ≥ 0                for every edge e,
+    x(E[S]) ≤ |S| − 1       for every S ⊆ V with |S| ≥ 2,
+    x(δ(v)) ≤ Δ             for every vertex v.
+
+``f_Δ`` is additive across components, and its optimum can be
+fractional (a triangle with Δ = 1 has ``f_1 = 3/2``), so values are
+never rounded to integers.
+
 Every evaluator in this module operates on a *canonical component*: a
 connected graph given as ``(n, u, v)`` where vertices are the local
 integers ``0..n-1`` and ``u``/``v`` are parallel int64 endpoint arrays
-(``u < v`` elementwise, sorted lexicographically).  Both front ends —
-the reference object-graph path (:mod:`repro.lp.forest_lp`) and the
-compact pipeline (:class:`repro.core.extension.CompactSpanningForestExtension`)
-— canonicalize their components to this form and call
-:func:`solve_component`, so the two paths produce *bit-identical*
-``f_Δ`` values by construction: same arrays in, same solver calls, same
-floats out.
+(``u < v`` elementwise, sorted lexicographically).  The extension engine
+(:class:`repro.core.extension.CompactSpanningForestExtension`) cuts its
+components into this form; object graphs convert once to a
+:class:`~repro.graphs.compact.CompactGraph` before they reach it, so
+every input ends in :func:`solve_component` with the same arrays for the
+same labelled component.
 
-Evaluators (mirroring the ``auto`` strategy of ``forest_lp``):
+Evaluators:
 
 * a **tree fast path**: on a tree (``m = n − 1``) with integral Δ the
   degree-constraint matrix is the incidence matrix of a bipartite graph,
@@ -558,8 +568,11 @@ def violated_forest_sets(
     capacity ``x_e``, edge node → both endpoints uncapped, every vertex
     but ``w`` → sink at capacity 1.  When its max flow leaves excess
     ``x(E_c) − flow > tolerance``, the vertices on the source side of the
-    minimal min cut, plus ``w``, form a violated set.  Sets are returned
-    in that walk order without repeats.
+    minimal min cut, plus ``w``, form a violated set.  (A cut whose
+    source side holds the vertex set ``S ∋ w`` pays ``x(e)`` for every
+    edge not induced by ``S`` plus 1 per vertex of ``S − {w}``, so the
+    min cut is ``x(E_c) − max_{S ∋ w} [x(E[S]) − |S| + 1]`` [PW83].)
+    Sets are returned in that walk order without repeats.
 
     All those networks are solved together, as one integer max flow on
     their disjoint union (shared source and sink), with capacities scaled

@@ -1,13 +1,38 @@
-"""Shared hypothesis strategies and deterministic graph corpora."""
+"""Shared hypothesis strategies, deterministic graph corpora and the
+canonical LP-core input of an object graph."""
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 from hypothesis import strategies as st
 
+from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 from repro.graphs import generators
+
+
+def canonical_components(graph: Graph) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Each edge-bearing component of ``graph`` (sortable labels) as the
+    ``(n, u, v)`` arrays the forest-LP core takes: vertices numbered by
+    sorted label, ``u < v``, edges lexsorted.
+
+    Built with plain Python, independently of the conversion in
+    :mod:`repro.core.extension`, so tests can hold the two against each
+    other.
+    """
+    out = []
+    for members in connected_components(graph):
+        index = {vert: i for i, vert in enumerate(sorted(members))}
+        pairs = sorted(
+            tuple(sorted((index[a], index[b])))
+            for a, b in graph.induced_subgraph(members).edges()
+        )
+        if pairs:
+            u, v = np.array(pairs, dtype=np.int64).T
+            out.append((len(index), u, v))
+    return out
 
 
 @st.composite

@@ -5,22 +5,43 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
+from repro.core.extension import evaluate_lipschitz_extension
 from repro.flow.maxflow import INFINITY, FlowNetwork
 from repro.graphs.compact import CompactGraph
 from repro.graphs.generators import (
     caterpillar_graph,
     complete_graph,
+    cycle_graph,
+    disjoint_union,
     path_graph,
     random_tree,
     star_graph,
 )
 from repro.lp import forest_core
-from repro.lp.forest_lp import canonical_component_arrays, forest_polytope_value
+
+from .strategies import canonical_components, small_graphs, small_graphs_with_edge
 
 
 def _arrays(graph):
-    _, u, v = canonical_component_arrays(graph)
-    return graph.number_of_vertices(), u, v
+    """Canonical ``(n, u, v)`` of a connected graph."""
+    [arrays] = canonical_components(graph)
+    return arrays
+
+
+def _most_violated_excess(n, u, v, x):
+    """Brute force: the largest ``x(E[S]) − |S| + 1`` over ``|S| ≥ 2``."""
+    best = -np.inf
+    bits = np.arange(n)
+    for mask in range(1, 2**n):
+        inside = (mask >> bits) & 1 == 1
+        if inside.sum() >= 2:
+            best = max(best, x[inside[u] & inside[v]].sum() - inside.sum() + 1)
+    return best
+
+
+def _excess(u, v, x, subset):
+    inside = np.isin(u, list(subset)) & np.isin(v, list(subset))
+    return x[inside].sum() - len(subset) + 1
 
 
 def _reference_violated_sets(n, u, v, x, tolerance=1e-7, max_sets=256):
@@ -151,7 +172,7 @@ class TestTreeDP:
         g = caterpillar_graph(3, 2)
         count, u, v = _arrays(g)
         result = forest_core.tree_component_value(count, u, v, 1)
-        exact = forest_polytope_value(g, 1, use_fast_paths=False).value
+        exact = evaluate_lipschitz_extension(g, 1, use_fast_paths=False)
         assert result.value == pytest.approx(exact)
 
     def test_rejects_cyclic_input_via_driver(self):
@@ -171,8 +192,23 @@ class TestSolveComponent:
         g = complete_graph(n)
         count, u, v = _arrays(g)
         core = forest_core.solve_component(count, u, v, delta)
-        reference = forest_polytope_value(g, delta, use_fast_paths=False)
-        assert core.value == pytest.approx(reference.value, abs=1e-6)
+        reference = evaluate_lipschitz_extension(g, delta, use_fast_paths=False)
+        assert core.value == pytest.approx(reference, abs=1e-6)
+
+    @given(small_graphs(max_vertices=6), st.integers(1, 4))
+    @settings(max_examples=40)
+    def test_returned_point_is_feasible(self, g, delta):
+        for count, u, v in canonical_components(g):
+            result = forest_core.solve_component(
+                count, u, v, delta, use_fast_paths=False
+            )
+            assert result.x.min() >= -1e-9
+            degrees = np.zeros(count)
+            np.add.at(degrees, u, result.x)
+            np.add.at(degrees, v, result.x)
+            assert degrees.max() <= delta + 1e-6
+            assert forest_core.violated_forest_sets(count, u, v, result.x, 1e-5) == []
+            assert result.x.sum() == pytest.approx(result.value, abs=1e-6)
 
     def test_large_component_certified(self):
         g = complete_graph(16)  # above EXACT_THRESHOLD: sandwich path
@@ -335,6 +371,45 @@ class TestSeparationOracle:
         assert _separations("float") == before + 1
         assert got == _reference_violated_sets(count, u, v, x) != []
 
+    @given(small_graphs_with_edge(max_vertices=6), st.integers(0, 10_000))
+    @settings(max_examples=40)
+    def test_finds_brute_force_violations(self, g, seed):
+        """Complete: a violated forest constraint is always found.  Sound:
+        every returned set is violated."""
+        compact = CompactGraph.from_graph(g)
+        count = compact.number_of_vertices()
+        u, v = compact.edge_arrays()
+        x = np.random.default_rng(seed).random(u.size)
+        found = forest_core.violated_forest_sets(count, u, v, x, tolerance=1e-9)
+        if _most_violated_excess(count, u, v, x) > 1e-6:
+            assert found
+        for subset in found:
+            assert _excess(u, v, x, subset) > 1e-9
+
+    @pytest.mark.parametrize(
+        "graph, weight, max_sets, expected",
+        [
+            (complete_graph(3), 0.9, 256, [{0, 1, 2}]),  # x(E) = 2.7 > 2
+            (complete_graph(3), 2 / 3, 256, []),  # x(E) = 2, tight
+            (star_graph(5), 0.0, 256, []),
+            # Five disjoint overweight triangles, capped at three sets.
+            (disjoint_union([complete_graph(3)] * 5), 1.0, 3,
+             [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}]),
+        ],
+        ids=["overfull-triangle", "tight-triangle", "zero", "max-sets-cap"],
+    )
+    def test_known_cases(self, graph, weight, max_sets, expected):
+        count = graph.number_of_vertices()
+        u, v = CompactGraph.from_graph(graph).edge_arrays()
+        x = np.full(u.size, weight)
+        got = forest_core.violated_forest_sets(count, u, v, x, max_sets=max_sets)
+        assert got == expected
+
+    def test_spanning_tree_indicator_passes(self):
+        count, u, v = _arrays(complete_graph(4))
+        x = (u == 0).astype(float)  # the star at vertex 0
+        assert forest_core.violated_forest_sets(count, u, v, x) == []
+
     def test_feasible_point_passes(self):
         g = path_graph(5)
         count, u, v = _arrays(g)
@@ -370,6 +445,59 @@ class TestCuttingPlane:
 
 
 class TestColumnGenerationCore:
+    def test_star_values(self):
+        count, u, v = _arrays(star_graph(5))
+        for delta in (1, 2, 3):
+            cg = forest_core.column_generation_component(count, u, v, delta)
+            assert cg.gap <= 1e-6
+            assert cg.value == pytest.approx(float(delta), abs=1e-6)
+
+    def test_triangle_fractional(self):
+        count, u, v = _arrays(complete_graph(3))
+        cg = forest_core.column_generation_component(count, u, v, 1)
+        assert cg.value == pytest.approx(1.5, abs=1e-6)
+        assert cg.gap <= 1e-6
+
+    def test_edgeless(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert forest_core.column_generation_component(3, empty, empty, 1).value == 0.0
+
+    def test_invalid_delta(self):
+        count, u, v = _arrays(path_graph(2))
+        with pytest.raises(ValueError):
+            forest_core.column_generation_component(count, u, v, 0)
+
+    def test_external_upper_bound_tightens(self):
+        count, u, v = _arrays(complete_graph(4))
+        exact = forest_core.exhaustive_component_value(count, u, v, 1).value
+        cg = forest_core.column_generation_component(
+            count, u, v, 1, external_upper_bound=exact
+        )
+        assert cg.value + cg.gap <= exact + 1e-9
+        assert cg.value == pytest.approx(exact, abs=1e-6)
+
+    @given(
+        n=st.integers(3, 7),
+        p=st.floats(0.1, 0.9),
+        seed=st.integers(0, 10**6),
+        delta=st.integers(1, 4),
+    )
+    @settings(max_examples=40)
+    def test_agrees_with_exhaustive(self, n, p, seed, delta):
+        u, v = _connected_graph(n, p, np.random.default_rng(seed))
+        cg = forest_core.column_generation_component(n, u, v, delta)
+        exact = forest_core.exhaustive_component_value(n, u, v, delta)
+        assert cg.value <= exact.value + 1e-6  # feasible lower bound
+        if cg.gap <= 1e-6:
+            assert cg.value == pytest.approx(exact.value, abs=1e-5)
+
+    def test_iteration_cap_keeps_certified_window(self):
+        count, u, v = _arrays(complete_graph(8))
+        cg = forest_core.column_generation_component(count, u, v, 2, max_iterations=2)
+        exact = forest_core.exhaustive_component_value(count, u, v, 2).value
+        assert cg.gap >= 0.0
+        assert cg.value <= exact + 1e-6 <= cg.value + cg.gap + 2e-6
+
     @given(n=st.integers(3, 8), delta=st.integers(1, 3))
     @settings(max_examples=20)
     def test_lower_bound_and_agreement(self, n, delta):
@@ -381,12 +509,14 @@ class TestColumnGenerationCore:
         if cg.gap <= 1e-6:
             assert cg.value == pytest.approx(exact.value, abs=1e-5)
 
-    def test_mixture_is_feasible(self):
-        g = complete_graph(6)
-        count, u, v = _arrays(g)
+    @pytest.mark.parametrize("graph", [complete_graph(6), cycle_graph(5)], ids=["K6", "C5"])
+    def test_mixture_is_feasible(self, graph):
+        count, u, v = _arrays(graph)
         cg = forest_core.column_generation_component(count, u, v, 2)
+        assert cg.x.min() >= -1e-9
         degrees = np.zeros(count)
         np.add.at(degrees, u, cg.x)
         np.add.at(degrees, v, cg.x)
         assert degrees.max() <= 2 + 1e-6
         assert forest_core.violated_forest_sets(count, u, v, cg.x, 1e-5) == []
+        assert cg.x.sum() == pytest.approx(cg.value, abs=1e-6)

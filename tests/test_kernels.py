@@ -14,6 +14,8 @@ Two contracts:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro import kernels
 from repro.core.extension import extension_for
 from repro.graphs.compact import as_compact
-from repro.graphs.generators import random_forest_compact
+from repro.graphs.generators import erdos_renyi, random_forest_compact
 from repro.lp.forest_core import batched_tree_values, tree_component_value
 
 from .strategies import deterministic_corpus, small_graphs
@@ -281,6 +283,26 @@ def _reference_greedy_capped_forest(n, u, v, order, caps):
             degree[a] += 1
             degree[b] += 1
     return chosen, degree
+
+
+def test_max_weight_forest_is_optimal_on_small_graphs():
+    """Matroid greedy: no forest outweighs it (brute force, n = 6)."""
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        compact = as_compact(erdos_renyi(6, 0.5, rng))
+        u, v = compact.edge_arrays()
+        if not u.size:
+            continue
+        weights = rng.normal(size=u.size)
+        chosen, total = kernels.max_weight_forest(6, u, v, weights)
+        assert weights[chosen].min(initial=1.0) > 0
+        best = 0.0
+        for k in range(1, u.size + 1):
+            for subset in itertools.combinations(range(u.size), k):
+                picked = list(subset)
+                if _reference_is_forest(6, u[picked], v[picked]):
+                    best = max(best, float(weights[picked].sum()))
+        assert total == pytest.approx(best, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
